@@ -54,12 +54,16 @@ conservation:
 ## path allocates at all (pinned ceiling: 0 allocs/op), then pins the
 ## trace-cache hit path — decoding a memoized workload from its delta-encoded
 ## blob — to the same ceiling, so cache hits stay allocation-free no matter
-## how the encoding evolves.
+## how the encoding evolves. Last, one full-length trace.Generate call is
+## pinned at 500 allocs: the compiled generator allocates per call (about
+## 340 on apsi at 64 threads), never per access (about 330k accesses).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='SteadyStateDispatch|ScheduleOnly' -benchtime=100x -benchmem ./internal/engine \
 		| $(GO) run ./cmd/benchgate -bench 'SteadyStateDispatchTyped$$|ScheduleOnly$$' -max-allocs 0
 	$(GO) test -run='^$$' -bench='DecodeCacheHit' -benchtime=1000x -benchmem ./internal/tracecache \
 		| $(GO) run ./cmd/benchgate -bench 'DecodeCacheHit$$' -max-allocs 0
+	$(GO) test -run='^$$' -bench='^BenchmarkGenerate$$' -benchtime=3x -benchmem ./internal/trace \
+		| $(GO) run ./cmd/benchgate -bench '^BenchmarkGenerate/' -max-allocs 500
 
 ## profile-smoke: the latency-attribution conservation gate — a small
 ## three-way comparison with the profiler attached must attribute every

@@ -36,10 +36,12 @@ func (d *DataStore) Contents(a *Array) []int64 {
 // positions into the stored extent (profile-approximated references may
 // slightly overrun).
 func (d *DataStore) Lookup(a *Array, pos int64) int64 {
-	if d == nil {
-		return 0
-	}
-	vs := d.vals[a]
+	return IndexAt(d.Contents(a), pos)
+}
+
+// IndexAt reads position pos of index-array contents with Lookup's
+// clamping; empty contents read as zero.
+func IndexAt(vs []int64, pos int64) int64 {
 	if len(vs) == 0 {
 		return 0
 	}

@@ -58,19 +58,83 @@ func (al *ArrayLayout) SizeBytes() int64 { return al.sizeBytes }
 // Offset maps an original element coordinate to its byte offset within the
 // array's virtual allocation under this layout.
 func (al *ArrayLayout) Offset(coord linalg.Vec) int64 {
-	if !al.Optimized {
-		return al.Array.LinearIndex(coord) * al.elemSize
+	if len(coord) != al.Array.NumDims() {
+		panic(fmt.Sprintf("layout: coordinate arity %d for %d-dimensional array %s", len(coord), al.Array.NumDims(), al.Array.Name))
 	}
-	ap := al.u.MulVec(coord).Add(al.shift)
-	r0 := clamp(ap[0], 0, al.newDims[0]-1)
+	p := make([]int64, len(coord))
+	al.Transform(p, coord)
+	off, _ := al.Place(p)
+	return off
+}
+
+// The lowered form: Offset split into an affine part and a table part, so a
+// trace generator can fold the affine part into its own per-nest rows once
+// and evaluate each access without allocating. A coordinate a maps to the
+// placement point p = U·a + shift (p = a for identity layouts) — Transform
+// for one coordinate, Compose for an affine map of coordinates — and Place
+// clamps p into the layout's data space and resolves the strip-mined,
+// group-permuted position with its desired controller.
+
+// Transform writes the placement point of an element coordinate into dst
+// (len(dst) == len(coord)).
+func (al *ArrayLayout) Transform(dst, coord []int64) {
+	if !al.Optimized {
+		copy(dst, coord)
+		return
+	}
+	for d := range dst {
+		v := al.shift[d]
+		for e, c := range coord {
+			v += al.u.At(d, e) * c
+		}
+		dst[d] = v
+	}
+}
+
+// Compose maps an affine coordinate map to the affine map of its placement
+// point over the same variables. rows holds one row of w coefficients per
+// array dimension, the constant term last; dst receives U·rows with shift
+// added to the constant column (a copy of rows for identity layouts).
+func (al *ArrayLayout) Compose(dst, rows []int64, w int) {
+	if !al.Optimized {
+		copy(dst, rows)
+		return
+	}
+	for d := range al.shift {
+		for j := 0; j < w; j++ {
+			var v int64
+			for e := range al.shift {
+				v += al.u.At(d, e) * rows[e*w+j]
+			}
+			if j == w-1 {
+				v += al.shift[d]
+			}
+			dst[d*w+j] = v
+		}
+	}
+}
+
+// Place returns the byte offset of the placement point p and the memory
+// controller the layout wants to serve it (DesiredMC of that offset, -1 for
+// identity layouts). Out-of-range components are clamped into the data
+// space. Place does not allocate.
+func (al *ArrayLayout) Place(p []int64) (int64, int) {
+	if !al.Optimized {
+		return al.Array.LinearIndex(p) * al.elemSize, -1
+	}
+	r0 := clamp(p[0], 0, al.newDims[0]-1)
 	var inRow int64
-	for d := 1; d < len(ap); d++ {
-		inRow += clamp(ap[d], 0, al.newDims[d]-1) * al.strides[d-1]
+	for d := 1; d < len(p); d++ {
+		inRow += clamp(p[d], 0, al.newDims[d]-1) * al.strides[d-1]
 	}
 	pos := al.rowRank[r0]*al.rowSize + inRow
 	q, w := pos/al.grain, pos%al.grain
-	lin := (q*int64(al.groups)+int64(al.ordOfRow[r0]))*al.grain + w
-	return lin * al.elemSize
+	ord := int(al.ordOfRow[r0])
+	lin := (q*int64(al.groups)+int64(ord))*al.grain + w
+	if al.homeOf != nil {
+		return lin * al.elemSize, ord % al.numMCs
+	}
+	return lin * al.elemSize, ord*al.k + int(w/al.unitElems)
 }
 
 // DesiredMC returns the memory controller this layout wants to serve the

@@ -11,7 +11,6 @@ package trace
 import (
 	"fmt"
 
-	"offchip/internal/deps"
 	"offchip/internal/ir"
 	"offchip/internal/layout"
 	"offchip/internal/sim"
@@ -43,6 +42,12 @@ const Unlimited = -1
 
 // Generate builds the workload for one application under the layouts in
 // res. The store supplies index-array contents for irregular references.
+//
+// Generation is compile-then-emit: every nest is compiled once (loop
+// variables become dense slots, bounds and subscripts affine rows over them,
+// each layout's affine part folded into the rows — see compile.go), a
+// counting pass sizes each thread's stream exactly, and the emitter walks
+// the slots writing accesses in place, so no access allocates.
 func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.DataStore, opt Options) (*sim.Workload, error) {
 	cores := m.Cores()
 	threads := opt.Threads
@@ -62,73 +67,209 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 	if err != nil {
 		return nil, err
 	}
-
-	// Per-nest access count per iteration, to compute sampling strides.
-	w := &sim.Workload{Name: p.Name}
-	for t := 0; t < threads; t++ {
-		stream := sim.Stream{Core: t % cores, AppID: opt.AppID}
-		budget := maxAcc
-		for _, nest := range p.Nests {
-			stream.Phases = append(stream.Phases, len(stream.Accesses))
-			if budget <= 0 {
-				// Budget exhausted: the nest contributes no accesses, but
-				// every nest still gets its marker so phase indices agree
-				// across streams whose budgets ran out at different points.
-				continue
-			}
-			nestBudget := budget / remainingNests(p, nest)
-			if nestBudget == 0 {
-				nestBudget = 1
-			}
-			refsPerIter := 0
-			for _, s := range nest.Body {
-				refsPerIter += len(s.Refs())
-			}
-			if refsPerIter == 0 {
-				continue
-			}
-			iterBudget := nestBudget / refsPerIter
-			if iterBudget == 0 {
-				iterBudget = 1
-			}
-			// Thread's share of the nest's iterations.
-			totalIters := nest.TripCount() / int64(threads)
-			if totalIters == 0 {
-				totalIters = 1
-			}
-			stride := int64(1)
-			if totalIters > int64(iterBudget) {
-				stride = totalIters / int64(iterBudget)
-			}
-			order := loopOrder(nest, res, store)
-			var k int64
-			iterateOrdered(nest, order, t, threads, func(env map[string]int64) bool {
-				if k%stride != 0 {
-					k++
-					return true
-				}
-				k++
-				for _, s := range nest.Body {
-					for _, r := range s.Refs() {
-						if len(stream.Accesses) >= maxAcc {
-							return false
-						}
-						al := res.Layout(r.Array)
-						coord := ir.EvalRef(r, env, store)
-						off := al.Offset(coord)
-						stream.Accesses = append(stream.Accesses, sim.Access{
-							VAddr:     bases[r.Array] + off,
-							DesiredMC: int8(al.DesiredMC(off)),
-						})
-					}
-				}
-				return len(stream.Accesses) < maxAcc
-			})
-			budget = maxAcc - len(stream.Accesses)
+	nests, err := compile(p, res, store, bases)
+	if err != nil {
+		return nil, err
+	}
+	// Each stream's accesses are one exactly sized allocation; the small
+	// phase arrays share one. (One array for all streams' accesses saves
+	// allocations but raised the suite-cold benchmark's peak RSS by 7%.)
+	e := newEmitter(nests, threads)
+	plans := make([]nestPlan, len(nests))
+	phases := make([]int, threads*len(nests))
+	w := &sim.Workload{Name: p.Name, Streams: make([]sim.Stream, threads)}
+	for t := range w.Streams {
+		st := &w.Streams[t]
+		st.Core, st.AppID = t%cores, opt.AppID
+		if n := e.plan(plans, t, maxAcc); n > 0 {
+			st.Accesses = make([]sim.Access, n)
 		}
-		w.Streams = append(w.Streams, stream)
+		if len(nests) > 0 {
+			st.Phases = phases[t*len(nests) : (t+1)*len(nests) : (t+1)*len(nests)]
+		}
+		if err := e.emit(st, t, plans); err != nil {
+			return nil, err
+		}
 	}
 	return w, nil
+}
+
+// emitter writes the streams of compiled nests one thread at a time. Its
+// scratch is sized once per Generate call and reused by every thread.
+type emitter struct {
+	nests   []*nestCode
+	threads int
+
+	// The walk: loop values by slot, and every reference row's value at the
+	// current sampled iteration with its step to the next one.
+	slots, vals, steps []int64
+	coord, point       []int64 // indexed references' coordinate and placement point
+
+	t      int
+	nc     *nestCode
+	stride int64 // sample every stride-th iteration of the nest
+	k      int64 // iterations of the nest visited so far
+	out    []sim.Access
+	n      int // accesses written to out
+	limit  int // stop the nest's walk when n reaches it
+}
+
+// nestPlan is one thread's share of one nest: the sampling stride and the
+// exact number of accesses the nest contributes.
+type nestPlan struct {
+	stride int64
+	n      int
+}
+
+func newEmitter(nests []*nestCode, threads int) *emitter {
+	var depth, rows, dims int
+	for _, nc := range nests {
+		depth = max(depth, nc.depth)
+		rows = max(rows, len(nc.rows)/(nc.depth+1))
+		for _, r := range nc.refs {
+			dims = max(dims, r.dims)
+		}
+	}
+	return &emitter{
+		nests:   nests,
+		threads: threads,
+		slots:   make([]int64, depth),
+		vals:    make([]int64, rows),
+		steps:   make([]int64, rows),
+		coord:   make([]int64, dims),
+		point:   make([]int64, dims),
+	}
+}
+
+// plan fills thread t's per-nest plans and returns the thread's access
+// count. Each nest gets a budget share of what is left of the thread's cap
+// (so earlier nests cannot consume it all) and a sampling stride that
+// spreads that share over the thread's whole chunk; counting the chunk's
+// iterations turns both into an exact access count.
+func (e *emitter) plan(plans []nestPlan, t, maxAcc int) int {
+	total, budget := 0, maxAcc
+	for i, nc := range e.nests {
+		plans[i] = nestPlan{}
+		if budget <= 0 || nc.refsPerIter == 0 {
+			// An exhausted budget still leaves the nest its phase marker,
+			// so phase indices agree across streams whose budgets ran out
+			// at different points.
+			continue
+		}
+		nestBudget := budget / nc.remaining
+		if nestBudget == 0 {
+			nestBudget = 1
+		}
+		iterBudget := nestBudget / nc.refsPerIter
+		if iterBudget == 0 {
+			iterBudget = 1
+		}
+		// Thread's share of the nest's iterations.
+		totalIters := nc.trip / int64(e.threads)
+		if totalIters == 0 {
+			totalIters = 1
+		}
+		stride := int64(1)
+		if totalIters > int64(iterBudget) {
+			stride = totalIters / int64(iterBudget)
+		}
+		samples := (nc.count(0, e.slots, t, e.threads) + stride - 1) / stride
+		n := samples * int64(nc.refsPerIter)
+		if n > int64(budget) {
+			n = int64(budget)
+		}
+		plans[i] = nestPlan{stride: stride, n: int(n)}
+		total += int(n)
+		budget = maxAcc - total
+	}
+	return total
+}
+
+// emit writes thread t's planned accesses and phase markers into st.
+func (e *emitter) emit(st *sim.Stream, t int, plans []nestPlan) error {
+	e.t, e.out, e.n = t, st.Accesses, 0
+	for i, nc := range e.nests {
+		st.Phases[i] = e.n
+		pl := plans[i]
+		if pl.n == 0 {
+			continue
+		}
+		e.nc, e.stride, e.k, e.limit = nc, pl.stride, 0, e.n+pl.n
+		e.walk(0)
+		if e.n != e.limit {
+			return fmt.Errorf("trace: thread %d nest %d emitted %d accesses, counted %d",
+				t, i, e.n-(e.limit-pl.n), pl.n)
+		}
+	}
+	return nil
+}
+
+// walk enumerates the thread's chunk of the nest from slot d inward and
+// emits every stride-th iteration. The innermost loop jumps straight from
+// one sampled iteration to the next, advancing each reference row by a
+// constant step. It reports false once the nest's access count is reached.
+func (e *emitter) walk(d int) bool {
+	nc := e.nc
+	lo, hi := nc.bounds(d, e.slots, e.t, e.threads)
+	if d < nc.depth-1 {
+		for v := lo; v < hi; v++ {
+			e.slots[d] = v
+			if !e.walk(d + 1) {
+				return false
+			}
+		}
+		return true
+	}
+	if hi <= lo {
+		return true
+	}
+	first := lo + (e.stride-e.k%e.stride)%e.stride
+	e.k += hi - lo
+	if first >= hi {
+		return true
+	}
+	e.slots[d] = first
+	w := nc.depth + 1
+	vals, steps := e.vals[:len(nc.rows)/w], e.steps[:len(nc.rows)/w]
+	for j := range vals {
+		row := nc.rows[j*w : (j+1)*w]
+		vals[j] = dot(row, e.slots)
+		steps[j] = row[d] * e.stride
+	}
+	for v := first; v < hi; v += e.stride {
+		for i := range nc.refs {
+			r := &nc.refs[i]
+			p := vals[r.row : r.row+r.dims]
+			if r.index != nil {
+				p = e.resolve(r, p)
+			}
+			off, mc := r.al.Place(p)
+			e.out[e.n] = sim.Access{VAddr: r.base + off, DesiredMC: int8(mc)}
+			e.n++
+			if e.n == e.limit {
+				return false
+			}
+		}
+		for j := range vals {
+			vals[j] += steps[j]
+		}
+	}
+	return true
+}
+
+// resolve turns an indexed reference's row values into its placement
+// point: indexed coordinates read through the index array, then the
+// layout's transformation applies.
+func (e *emitter) resolve(r *refCode, v []int64) []int64 {
+	coord, point := e.coord[:r.dims], e.point[:r.dims]
+	for d, x := range v {
+		if r.index[d].on {
+			x = ir.IndexAt(r.index[d].vals, x)
+		}
+		coord[d] = x
+	}
+	r.al.Transform(point, coord)
+	return point
 }
 
 // remainingNests counts nests from the given one to the end, so earlier
@@ -175,106 +316,4 @@ func Merge(name string, ws ...*sim.Workload) *sim.Workload {
 		out.Streams = append(out.Streams, w.Streams...)
 	}
 	return out
-}
-
-// loopOrder emulates the node compiler's cache-oriented loop permutation
-// (Section 6.1: original and optimized codes are both compiled "with the
-// highest level of optimization, enabling … loop permutation"): it returns
-// the nest's loop indices with the loop whose unit step moves the smallest
-// distance in the (layout-mapped) address space placed innermost. Both the
-// baseline and the optimized trace therefore enjoy the best loop order for
-// their own layout, so the two runs differ in where misses go, not in how
-// often they miss — matching the paper's <1% LLC-miss impact.
-//
-// Candidates are filtered for legality: the moved loop's variable must not
-// appear in another loop's bounds, and the permutation must preserve every
-// data dependence (checked with internal/deps).
-func loopOrder(nest *ir.LoopNest, res *layout.Result, store *ir.DataStore) []int {
-	m := nest.Depth()
-	order := make([]int, 0, m)
-	// Representative iteration: the midpoint of each loop's bounds under
-	// an all-midpoint environment (evaluated outside-in).
-	env := map[string]int64{}
-	for _, l := range nest.Loops {
-		lo, hi := l.Lower.Eval(env), l.Upper.Eval(env)
-		env[l.Var] = (lo + hi) / 2
-	}
-	best, bestCost := m-1, int64(-1)
-	for li := m - 1; li >= 0; li-- {
-		v := nest.Loops[li].Var
-		// Legality, part 1: a loop may move innermost only if no other
-		// loop's bounds reference its variable (e.g. hpccg's nonzero loop
-		// runs 8·row .. 8·row+8 — row must stay outside it).
-		legal := true
-		for lj, other := range nest.Loops {
-			if lj == li {
-				continue
-			}
-			if other.Lower.Coeff(v) != 0 || other.Upper.Coeff(v) != 0 {
-				legal = false
-				break
-			}
-		}
-		if !legal {
-			continue
-		}
-		// Legality, part 2: the permutation must preserve every data
-		// dependence of the nest (loop permutation, unlike the data
-		// transformation itself, is constrained by dependences).
-		if li != m-1 && !deps.InnermostLegal(nest, li) {
-			continue
-		}
-		var cost int64
-		for _, s := range nest.Body {
-			for _, r := range s.Refs() {
-				al := res.Layout(r.Array)
-				base := ir.EvalRef(r, env, store)
-				env[v]++
-				next := ir.EvalRef(r, env, store)
-				env[v]--
-				d := al.Offset(next) - al.Offset(base)
-				if d < 0 {
-					d = -d
-				}
-				cost += d
-			}
-		}
-		if bestCost == -1 || cost < bestCost {
-			best, bestCost = li, cost
-		}
-	}
-	for li := 0; li < m; li++ {
-		if li != best {
-			order = append(order, li)
-		}
-	}
-	return append(order, best)
-}
-
-// iterateOrdered enumerates the thread's chunk of the nest with the loops
-// visited in the given order (a permutation of loop indices). Bounds are
-// evaluated when a loop is entered; the order produced by loopOrder keeps
-// every bound's dependencies already bound.
-func iterateOrdered(nest *ir.LoopNest, order []int, t, threads int, yield func(map[string]int64) bool) bool {
-	env := make(map[string]int64, nest.Depth())
-	var rec func(d int) bool
-	rec = func(d int) bool {
-		if d == len(order) {
-			return yield(env)
-		}
-		l := nest.Loops[order[d]]
-		lo, hi := l.Lower.Eval(env), l.Upper.Eval(env)
-		if order[d] == nest.ParDepth {
-			lo, hi = ir.ThreadChunk(lo, hi, t, threads)
-		}
-		for v := lo; v < hi; v++ {
-			env[l.Var] = v
-			if !rec(d + 1) {
-				return false
-			}
-		}
-		delete(env, l.Var)
-		return true
-	}
-	return rec(0)
 }
