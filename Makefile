@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test test-race determinism validate conservation bench-smoke profile-smoke service-smoke fuzz-smoke bench bench-engine bench-trace bench-sweepd clean
+.PHONY: check vet fmt build test test-race determinism validate conservation bench-smoke profile-smoke service-smoke fuzz-smoke bench bench-engine bench-sweepd clean
 
 ## check: everything CI enforces — vet, formatting, build, tests under -race,
 ## the sequential-vs-parallel determinism gate, the invariant/metamorphic
@@ -98,11 +98,6 @@ bench: bench-engine
 ## and write BENCH_engine.json (see README "Performance" for how to read it).
 bench-engine:
 	$(GO) run ./cmd/benchtab -bench-engine BENCH_engine.json
-
-## bench-trace: time `-exp all` exact vs trace-cached + sampled and write
-## BENCH_trace.json (see README "Performance").
-bench-trace:
-	$(GO) run ./cmd/benchtab -bench-trace BENCH_trace.json
 
 ## bench-sweepd: time the example sweep in-process vs on a worker-process
 ## fleet and write BENCH_sweepd.json (see README "Performance").

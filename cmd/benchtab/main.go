@@ -68,10 +68,8 @@ func main() {
 	progress := flag.Bool("progress", false, "print one line per finished job")
 	benchRunner := flag.String("bench-runner", "", "measure the sweep at 1 and -parallel workers; write wall clocks to this JSON file")
 	benchEngine := flag.String("bench-engine", "", "time the full experiment suite and a representative simulation against the pre-overhaul engine baseline; write the record to this JSON file")
-	benchTrace := flag.String("bench-trace", "", "time the full experiment suite exact vs trace-cached + sampled; write the record to this JSON file")
 	benchSweepd := flag.String("bench-sweepd", "", "measure the sweep in-process vs on a worker-process fleet; write wall clocks to this JSON file")
 	cacheFlag := flag.String("trace-cache", "", `memoize trace generation across experiments: "mem" (in-process) or a directory for a persistent cache`)
-	sampleFlag := flag.String("sample", "", `sampled simulation for job-sharded experiments: off | on | w<windows>f<fraction>u<warmup>r<replicates>`)
 	migrateFlag := flag.String("migrate", "", `hot-page migration spec for figmig/figmix dynamic and hybrid runs: on | h<thr>w<win>c<cool>f<flits>t<stall>[g<pages>] (default: "on" for figmig; figmix retunes to per-page granularity)`)
 	profFlag := flag.Bool("prof", false, "attach the latency-attribution profiler to every job and print the sweep-wide differential attribution")
 	serveAddr := flag.String("serve", "", "serve the live sweep observability plane (/metrics, /progress, /profile) on this address")
@@ -92,11 +90,6 @@ func main() {
 			fail(err)
 		}
 		cfg.TraceCache = tc
-	}
-	if sp, err := sim.ParseSampleSpec(*sampleFlag); err != nil {
-		fail(err)
-	} else if sp != nil {
-		cfg.Sample = sp.String()
 	}
 	if sp, err := mem.ParseMigrationSpec(*migrateFlag); err != nil {
 		fail(err)
@@ -139,11 +132,6 @@ func main() {
 		return
 	case *benchEngine != "":
 		if err := benchEngineRun(cfg, *benchEngine); err != nil {
-			fail(err)
-		}
-		return
-	case *benchTrace != "":
-		if err := benchTraceRun(cfg, *benchTrace); err != nil {
 			fail(err)
 		}
 		return
@@ -600,122 +588,6 @@ func benchEngineRun(cfg experiments.Config, path string) error {
 		suiteWall.Seconds(), baselineExpAllSeconds, baselineExpAllSeconds/suiteWall.Seconds(),
 		nsPerEvent, allocsPerEvent, path)
 	return nil
-}
-
-// benchTraceRun records the trace-cache + sampled-simulation speedup: wall
-// clock of the full experiment suite exact and uncached (every job
-// regenerates its traces and simulates end to end) versus the same suite
-// trace-cached + sampled, measured twice — once against an empty persistent
-// cache (the cold pass pays every unique generation once and fills the
-// cache) and once against the populated cache (the steady state of a
-// recurring sweep: every trace decodes from disk, no generation at all).
-// Exact numbers are the acceptance baseline; the cached+sampled passes
-// trade bit-exactness for wall clock, and the sampled battery
-// (internal/check) separately pins how far the estimates may stray.
-func benchTraceRun(cfg experiments.Config, path string) error {
-	sample := cfg.Sample
-	if sample == "" {
-		sample = sim.DefaultSampleSpec().String()
-	}
-
-	exact := cfg
-	exact.TraceCache = nil
-	exact.Sample = ""
-	fmt.Fprintln(os.Stderr, "bench-trace: running the full suite exact and uncached (several minutes)...")
-	exactWall, err := timeSuite(exact)
-	if err != nil {
-		return err
-	}
-
-	dir, err := os.MkdirTemp("", "offchip-bench-trace-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	fast := cfg
-	tc, err := tracecache.New(dir) // empty cache: every miss generates once
-	if err != nil {
-		return err
-	}
-	fast.TraceCache = tc
-	fast.Sample = sample
-	fmt.Fprintln(os.Stderr, "bench-trace: running the suite trace-cached + sampled (cold cache)...")
-	coldWall, err := timeSuite(fast)
-	if err != nil {
-		return err
-	}
-	cold := tc.Stats()
-
-	// Steady state: a fresh in-process layer over the now-full on-disk
-	// cache, as a recurring sweep (CI, a sweep service) would see it.
-	tc, err = tracecache.New(dir)
-	if err != nil {
-		return err
-	}
-	fast.TraceCache = tc
-	fmt.Fprintln(os.Stderr, "bench-trace: running the suite trace-cached + sampled (warm cache)...")
-	warmWall, err := timeSuite(fast)
-	if err != nil {
-		return err
-	}
-	warm := tc.Stats()
-
-	rec := map[string]any{
-		"bench":      "trace-cache-sampled",
-		"numcpu":     runtime.NumCPU(),
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"sample":     sample,
-		"exact": map[string]any{
-			"expall_seconds": exactWall.Seconds(),
-		},
-		"cached_sampled_cold": map[string]any{
-			"expall_seconds":    coldWall.Seconds(),
-			"cache_hits":        cold.Hits,
-			"cache_misses":      cold.Misses,
-			"cache_disk_hits":   cold.DiskHits,
-			"cache_disk_writes": cold.DiskWrites,
-		},
-		"cached_sampled_warm": map[string]any{
-			"expall_seconds":  warmWall.Seconds(),
-			"cache_hits":      warm.Hits,
-			"cache_misses":    warm.Misses,
-			"cache_disk_hits": warm.DiskHits,
-		},
-		"expall_speedup_cold": exactWall.Seconds() / coldWall.Seconds(),
-		"expall_speedup_warm": exactWall.Seconds() / warmWall.Seconds(),
-		"generated_at":        time.Now().UTC().Format(time.RFC3339),
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("trace: suite exact %.1fs vs cached+sampled(%s) cold %.1fs (%.2fx) / warm %.1fs (%.2fx; %d disk hits) -> %s\n",
-		exactWall.Seconds(), sample,
-		coldWall.Seconds(), exactWall.Seconds()/coldWall.Seconds(),
-		warmWall.Seconds(), exactWall.Seconds()/warmWall.Seconds(),
-		warm.DiskHits, path)
-	return nil
-}
-
-// timeSuite runs every experiment once under cfg and returns the wall clock.
-func timeSuite(cfg experiments.Config) (time.Duration, error) {
-	start := time.Now()
-	for _, id := range experiments.AllIDs() {
-		if _, err := experiments.Run(id, cfg); err != nil {
-			return 0, fmt.Errorf("bench-trace: %s: %w", id, err)
-		}
-	}
-	return time.Since(start), nil
 }
 
 func timeSweep(cfg experiments.Config, workers int) (time.Duration, int, error) {

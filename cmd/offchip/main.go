@@ -99,7 +99,6 @@ func run() error {
 	seed := flag.Uint64("seed", 0, "jitter seed; 0 keeps the historical stream of the recorded figures")
 	replay := flag.String("replay", "", "re-run one sweep job from its canonical ID (see benchtab -jobs) and exit")
 	cacheFlag := flag.String("trace-cache", "", `memoize trace generation: "mem" (in-process) or a directory for a persistent cache`)
-	sampleFlag := flag.String("sample", "off", `sampled simulation: off | on | w<windows>f<fraction>u<warmup>r<replicates>`)
 	submit := flag.String("submit", "", "submit a sweep to a sweepd service at this base URL, wait, and print the results")
 	submitApps := flag.String("apps", "", "-submit: comma-separated applications (empty: the full suite)")
 	submitSchemes := flag.String("schemes", "", "-submit: comma-separated layout schemes (empty: all)")
@@ -119,9 +118,6 @@ func run() error {
 		}
 		if *submitSchemes != "" {
 			req.Schemes = strings.Split(*submitSchemes, ",")
-		}
-		if *sampleFlag != "off" {
-			req.Sample = *sampleFlag
 		}
 		return submitSweep(strings.TrimRight(*submit, "/"), req)
 	}
@@ -266,11 +262,6 @@ func run() error {
 		}
 		opt.TraceCache = tc
 	}
-	sampleSpec, err := sim.ParseSampleSpec(*sampleFlag)
-	if err != nil {
-		return err
-	}
-	opt.Sample = sampleSpec
 	var tracer *obs.Tracer
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -347,9 +338,6 @@ func run() error {
 		"check": strconv.FormatBool(*checkRun), "prof": strconv.FormatBool(wantProf),
 		"trace-cache": *cacheFlag, "policy": *policy,
 	}
-	if sampleSpec != nil {
-		manifest.Config["sample"] = sampleSpec.String()
-	}
 	if migSpec != nil {
 		manifest.Config["migrate"] = migSpec.String()
 	}
@@ -402,25 +390,6 @@ func run() error {
 	}
 	fmt.Println(t.String())
 
-	if sampleSpec != nil && len(c.Sampled) > 0 {
-		st := &stats.Table{
-			Title:   fmt.Sprintf("sampled simulation (%s): estimates with 95%% bounds", sampleSpec.String()),
-			Headers: []string{"run", "simulated", "of accesses", "exec estimate", "±", "rel"},
-		}
-		for _, run := range []string{"baseline", "optimized", "optimal"} {
-			sr := c.Sampled[run]
-			if sr == nil {
-				continue
-			}
-			mode := "sampled"
-			if sr.Exact {
-				mode = "exact"
-			}
-			st.AddF(run+" ("+mode+")", sr.SimulatedAccesses, sr.FullAccesses,
-				sr.Est.ExecTime.Mean, sr.Est.ExecTime.Half, stats.Pct(sr.Est.ExecTime.RelHalf()))
-		}
-		fmt.Println(st.String())
-	}
 	if opt.TraceCache != nil {
 		cs := opt.TraceCache.Stats()
 		fmt.Fprintf(os.Stderr, "offchip: trace cache: %d hits, %d misses, %d disk hits, %d disk writes\n",

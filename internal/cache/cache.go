@@ -159,55 +159,6 @@ func (c *Cache) Contains(addr int64) bool {
 	return false
 }
 
-// ResetStats zeroes the hit/miss/eviction counters while leaving the tag
-// and LRU state intact, so statistics after a functional warm-up pass
-// reflect only the timed accesses that follow.
-func (c *Cache) ResetStats() {
-	c.Hits, c.Misses, c.Evictions = 0, 0, 0
-}
-
-// Snapshot captures the cache's tag, validity, and LRU state (not the
-// statistics counters) as a deep copy, so an identical warm state can be
-// restored into many runs without replaying the accesses that built it.
-type Snapshot struct {
-	tags    []int64
-	valid   []bool
-	lastUse []int64
-	tick    int64
-}
-
-// Snapshot captures the current tag/LRU state.
-func (c *Cache) Snapshot() *Snapshot {
-	n := c.sets * c.ways
-	s := &Snapshot{
-		tags:    make([]int64, 0, n),
-		valid:   make([]bool, 0, n),
-		lastUse: make([]int64, 0, n),
-		tick:    c.tick,
-	}
-	for set := 0; set < c.sets; set++ {
-		s.tags = append(s.tags, c.tags[set]...)
-		s.valid = append(s.valid, c.valid[set]...)
-		s.lastUse = append(s.lastUse, c.lastUse[set]...)
-	}
-	return s
-}
-
-// Restore overwrites the tag/LRU state with the snapshot's. The cache must
-// have the geometry the snapshot was taken from.
-func (c *Cache) Restore(s *Snapshot) {
-	if len(s.tags) != c.sets*c.ways {
-		panic(fmt.Sprintf("cache: restoring %d-line snapshot into %d-line cache",
-			len(s.tags), c.sets*c.ways))
-	}
-	for set := 0; set < c.sets; set++ {
-		copy(c.tags[set], s.tags[set*c.ways:])
-		copy(c.valid[set], s.valid[set*c.ways:])
-		copy(c.lastUse[set], s.lastUse[set*c.ways:])
-	}
-	c.tick = s.tick
-}
-
 // Invalidate drops the line containing addr if present.
 func (c *Cache) Invalidate(addr int64) {
 	line := c.LineAddr(addr)
@@ -289,23 +240,6 @@ func (d *Directory) Remove(line int64, core int) {
 		delete(d.sharers, line)
 	} else {
 		d.sharers[line] = m
-	}
-}
-
-// Snapshot returns a copy of the directory's sharer map.
-func (d *Directory) Snapshot() map[int64]uint64 {
-	s := make(map[int64]uint64, len(d.sharers))
-	for k, v := range d.sharers {
-		s[k] = v
-	}
-	return s
-}
-
-// Restore overwrites the directory's sharer map with a copy of s.
-func (d *Directory) Restore(s map[int64]uint64) {
-	d.sharers = make(map[int64]uint64, len(s))
-	for k, v := range s {
-		d.sharers[k] = v
 	}
 }
 

@@ -86,12 +86,6 @@ type Options struct {
 	// page interleaving; see mem.MigrationSpec. Nil (the default) keeps the
 	// static policies bit-identical to their historical results.
 	Migrate *mem.MigrationSpec
-	// Sample, when set, replaces each full simulation with SMARTS-style
-	// sampled simulation over the same traces (see sim.SampleSpec): metrics
-	// become window-extrapolated estimates with confidence bounds, recorded
-	// in Comparison.Sampled. Nil (the default) runs exact full simulations
-	// with bit-identical historical results.
-	Sample *sim.SampleSpec
 }
 
 // Metrics distills one simulation run.
@@ -160,11 +154,6 @@ type Comparison struct {
 
 	// Profiles holds each run's latency attribution (Options.Prof only).
 	Profiles map[string]*prof.Profile
-
-	// Sampled holds each run's sampled-simulation outcome — estimates with
-	// confidence bounds — when Options.Sample was set (nil otherwise). The
-	// Baseline/Optimized/Optimal metrics are then the estimate means.
-	Sampled map[string]*sim.SampledResult
 
 	// Compiler statistics (Table 2).
 	PctArraysOptimized float64
@@ -371,24 +360,16 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 	attach(&idealCfg, "optimal")
 
 	type simJob struct {
-		name    string
-		cfg     sim.Config
-		w       *sim.Workload
-		res     *sim.Result
-		sampled *sim.SampledResult
-		err     error
+		name string
+		cfg  sim.Config
+		w    *sim.Workload
+		res  *sim.Result
+		err  error
 	}
 	jobs := []*simJob{
 		{name: "baseline", cfg: cfg, w: baseW},
 		{name: "optimized", cfg: optCfg, w: optW},
 		{name: "optimal", cfg: idealCfg, w: baseW},
-	}
-	runJob := func(j *simJob) {
-		if opt.Sample != nil {
-			j.sampled, j.err = sim.RunSampled(j.cfg, j.w, *opt.Sample)
-		} else {
-			j.res, j.err = sim.Run(j.cfg, j.w)
-		}
 	}
 	if opt.Concurrent {
 		var wg sync.WaitGroup
@@ -396,31 +377,18 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 			wg.Add(1)
 			go func(j *simJob) {
 				defer wg.Done()
-				runJob(j)
+				j.res, j.err = sim.Run(j.cfg, j.w)
 			}(j)
 		}
 		wg.Wait()
 	} else {
 		for _, j := range jobs {
-			runJob(j)
+			j.res, j.err = sim.Run(j.cfg, j.w)
 		}
 	}
 	for _, j := range jobs {
 		if j.err != nil {
 			return nil, fmt.Errorf("core: %s %s: %w", app.Name, j.name, j.err)
-		}
-	}
-	distillJob := func(j *simJob) Metrics {
-		if j.sampled != nil {
-			return distillSampled(j.sampled)
-		}
-		return distill(j.res)
-	}
-	var sampled map[string]*sim.SampledResult
-	if opt.Sample != nil {
-		sampled = map[string]*sim.SampledResult{}
-		for _, j := range jobs {
-			sampled[j.name] = j.sampled
 		}
 	}
 
@@ -443,36 +411,13 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 		App:                app.Name,
 		Machine:            m,
 		Mapping:            cm.Name,
-		Baseline:           distillJob(jobs[0]),
-		Optimized:          distillJob(jobs[1]),
-		Optimal:            distillJob(jobs[2]),
+		Baseline:           distill(jobs[0].res),
+		Optimized:          distill(jobs[1].res),
+		Optimal:            distill(jobs[2].res),
 		Observers:          observers,
 		Checks:             checks,
 		Profiles:           profiles,
-		Sampled:            sampled,
 		PctArraysOptimized: res.PctArraysOptimized(),
 		PctRefsSatisfied:   res.PctRefsSatisfied(),
 	}, nil
-}
-
-// distillSampled projects a sampled run onto Metrics: scalar metrics take
-// the estimate means; the distributional metrics (hop CDFs, the access map)
-// come from the aggregated measured windows.
-func distillSampled(sr *sim.SampledResult) Metrics {
-	return Metrics{
-		ExecTime:       int64(sr.Est.ExecTime.Mean + 0.5),
-		OnChipNetAvg:   sr.Est.OnChipNetAvg.Mean,
-		OffChipNetAvg:  sr.Est.OffChipNetAvg.Mean,
-		MemAvg:         sr.Est.MemAvg.Mean,
-		QueueAvg:       sr.Est.QueueAvg.Mean,
-		OffChipShare:   sr.Est.OffChipShare.Mean,
-		AvgQueueOcc:    sr.Est.AvgQueueOcc.Mean,
-		HopCDFOn:       sr.Aggregate.HopCDF[noc.OnChip],
-		HopCDFOff:      sr.Aggregate.HopCDF[noc.OffChip],
-		AccessMap:      sr.Aggregate.AccessMap,
-		AppExecTime:    sr.AppExecTime,
-		Migrations:     sr.Aggregate.Migrations,
-		MigCopyMsgs:    sr.Aggregate.MigCopyMsgs,
-		MigStallCycles: sr.Aggregate.MigStallCycles,
-	}
 }

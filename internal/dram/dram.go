@@ -150,10 +150,6 @@ type Controller struct {
 	pending  []*request
 	freeReqs *request // recycled request nodes
 
-	// OnSubmit, when set, observes every submitted (local) address; used by
-	// tests and diagnostics.
-	OnSubmit func(addr int64)
-
 	// Probe, when set, observes every enqueue and service — the invariant
 	// checker's timing and starvation-bound hook. Nil costs one check per
 	// request.
@@ -169,8 +165,8 @@ type Controller struct {
 	RowHits         int64
 
 	// Plain time-weighted queue-length accumulator. It mirrors the registry
-	// gauge so QueueOccupancy survives runs with a null observer (sampled
-	// quiet windows), which register no metrics at all.
+	// gauge so QueueOccupancy survives runs whose observer carries no
+	// registry (&obs.Observer{}), which register no metrics at all.
 	qInt  int64
 	qLast int64
 	qCur  int64
@@ -250,9 +246,6 @@ func (c *Controller) freeReq(r *request) {
 // request node comes from the controller's pool and doubles as the
 // completion event.
 func (c *Controller) SubmitTo(addr int64, done Completion) {
-	if c.OnSubmit != nil {
-		c.OnSubmit(addr)
-	}
 	b, row := c.bankOf(addr)
 	now := c.sim.Now()
 	r := c.allocReq()

@@ -46,13 +46,6 @@ type Config struct {
 	// hybrid runs use: "" means the default mem.MigrationSpec ("on"), or a
 	// compact spec like "h16w1024c2f0t64". Other experiments ignore it.
 	Migrate string
-	// Sample enables sampled simulation for the job-sharded experiments:
-	// "" runs exact full simulations (the historical results), "on" the
-	// default sim.SampleSpec, or a compact spec like "w4f0.1u1r1".
-	// Sampling is part of each job's identity (the ID gains a sample=
-	// field). The sequential multiprogrammed experiments (Fig25) always run
-	// exact.
-	Sample string
 }
 
 func (c Config) apps() ([]*workloads.App, error) {
@@ -81,7 +74,7 @@ func (c Config) coreOpts() core.Options {
 func (c Config) spec(mode runner.Mode, app string) runner.JobSpec {
 	return runner.JobSpec{
 		Mode: mode, App: app, Cap: c.MaxAccessesPerThread, Seed: c.Seed,
-		Sample: c.Sample, Prof: c.Prof, Cache: c.TraceCache,
+		Prof: c.Prof, Cache: c.TraceCache,
 	}
 }
 
@@ -241,7 +234,6 @@ func execSuite(cfg Config, id, title string, variants []variant) (*FigResult, er
 			s.App = app.Name
 			s.Cap = cfg.MaxAccessesPerThread
 			s.Seed = cfg.Seed
-			s.Sample = cfg.Sample
 			s.Cache = cfg.TraceCache
 			specs = append(specs, s)
 		}

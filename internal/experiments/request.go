@@ -21,8 +21,6 @@ type Request struct {
 	Cap int `json:"cap,omitempty"`
 	// Seed decorrelates the jitter streams (0: the historical stream).
 	Seed uint64 `json:"seed,omitempty"`
-	// Sample enables sampled simulation ("", "on", or a compact spec).
-	Sample string `json:"sample,omitempty"`
 }
 
 // SchemeNames lists the layout schemes a Request may name, in expansion
@@ -44,7 +42,6 @@ func (r Request) Expand() ([]runner.JobSpec, error) {
 		Apps:                 r.Apps,
 		MaxAccessesPerThread: r.Cap,
 		Seed:                 r.Seed,
-		Sample:               r.Sample,
 	}
 	apps, err := cfg.apps()
 	if err != nil {

@@ -293,74 +293,6 @@ func LocalAddr(paddr int64, cfg Config) int64 {
 	return (paddr/stripe)*unit + paddr%unit
 }
 
-// TranslationSnapshot captures an AddressSpace's mutable translation state
-// — the page table, the per-MC allocation cursors, and the allocation
-// policy's round-robin position — so sampled simulation can replay an
-// identical first-touch history into many machines without re-walking the
-// workload. Snapshots deep-copy on capture and on restore, so the source
-// space, the snapshot, and every restored space diverge independently.
-type TranslationSnapshot struct {
-	pages   map[int64]int64
-	nextOf  []int64
-	allocOf []int64
-	freeOf  [][]int64
-	spills  int64
-	polKind int // 0 stateless, 1 interleaved, 2 os-assisted
-	polNext int
-}
-
-// Snapshot captures the space's translation state. Policies other than the
-// built-in stateful ones (InterleavedPolicy, OSAssistedPolicy) are assumed
-// stateless; a custom stateful Policy is not captured.
-func (as *AddressSpace) Snapshot() *TranslationSnapshot {
-	s := &TranslationSnapshot{
-		pages:   make(map[int64]int64, len(as.pages)),
-		nextOf:  append([]int64(nil), as.nextOf...),
-		allocOf: append([]int64(nil), as.allocOf...),
-		freeOf:  make([][]int64, len(as.freeOf)),
-		spills:  as.Spills,
-	}
-	for mc, fl := range as.freeOf {
-		s.freeOf[mc] = append([]int64(nil), fl...)
-	}
-	for k, v := range as.pages {
-		s.pages[k] = v
-	}
-	switch p := as.policy.(type) {
-	case *InterleavedPolicy:
-		s.polKind, s.polNext = 1, p.next
-	case *OSAssistedPolicy:
-		s.polKind, s.polNext = 2, p.fallback.next
-	}
-	return s
-}
-
-// Restore overwrites the space's translation state with the snapshot's.
-// The space must have the same configuration the snapshot was taken under.
-func (as *AddressSpace) Restore(s *TranslationSnapshot) {
-	as.pages = make(map[int64]int64, len(s.pages))
-	for k, v := range s.pages {
-		as.pages[k] = v
-	}
-	as.nextOf = append(as.nextOf[:0], s.nextOf...)
-	as.allocOf = append(as.allocOf[:0], s.allocOf...)
-	as.freeOf = make([][]int64, as.cfg.NumMCs)
-	for mc, fl := range s.freeOf {
-		as.freeOf[mc] = append([]int64(nil), fl...)
-	}
-	as.Spills = s.spills
-	switch p := as.policy.(type) {
-	case *InterleavedPolicy:
-		if s.polKind == 1 {
-			p.next = s.polNext
-		}
-	case *OSAssistedPolicy:
-		if s.polKind == 2 {
-			p.fallback.next = s.polNext
-		}
-	}
-}
-
 // PagesAllocated returns the total allocated page count (for tests).
 func (as *AddressSpace) PagesAllocated() int64 {
 	var n int64

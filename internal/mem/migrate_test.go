@@ -460,39 +460,6 @@ func TestRemapHonorsCapacity(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreCarriesFreeLists(t *testing.T) {
-	as := NewAddressSpace(pageCfg(), 0, NewInterleavedPolicy(4))
-	for i := int64(0); i < 8; i++ {
-		as.Translate(i*4096, 0, -1)
-	}
-	as.Remap(0, 2) // MC0 gains a free-listed frame
-	snap := as.Snapshot()
-
-	// Diverge the source: recycle the freed frame.
-	as.Translate(8*4096, 0, -1)
-	if err := as.VerifyBijection(); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh := NewAddressSpace(pageCfg(), 0, NewInterleavedPolicy(4))
-	fresh.Restore(snap)
-	if err := fresh.VerifyBijection(); err != nil {
-		t.Fatalf("restored space: %v", err)
-	}
-	if mc, ok := fresh.PageMC(0); !ok || mc != 2 {
-		t.Fatalf("restored PageMC(0) = %d,%v, want 2,true", mc, ok)
-	}
-	// The restored space must replay the same recycling decision.
-	pSrc := as.Translate(8*4096, 0, -1)
-	pRestored := fresh.Translate(8*4096, 0, -1)
-	if pSrc != pRestored {
-		t.Errorf("restored allocation diverged: %d vs %d", pRestored, pSrc)
-	}
-	if err := fresh.VerifyBijection(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFirstTouchNearestPolicy(t *testing.T) {
 	cfg := pageCfg()
 	as := NewAddressSpace(cfg, 0, &FirstTouchNearestPolicy{NearestMC: nearestByMod})

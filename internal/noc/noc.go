@@ -242,8 +242,8 @@ func (n *Network) AvgHops(class Class) float64 {
 func (n *Network) HopCDF(class Class) []float64 {
 	cdf := n.hopHist[class].CDF()
 	if len(cdf) == 0 {
-		// Under a null observer (quiet sampled-window runs) the histogram
-		// was never registered; there is no distribution to render.
+		// Under an observer without a registry (&obs.Observer{}) the
+		// histogram was never registered; there is no distribution to render.
 		return nil
 	}
 	// The histogram carries an overflow bucket beyond the 0..maxHops

@@ -11,15 +11,15 @@ import (
 // spec and the same ID bytes. That fixed point is what makes job IDs safe as
 // replay handles, dedup keys, and journal entries in the sweep service.
 func FuzzParseJobID(f *testing.F) {
-	// Seed with real canonical IDs, including the sample= and trace-cache-era
-	// variants, plus near-misses.
+	// Seed with real canonical IDs, including the mig= and mix= variants,
+	// plus near-misses (a removed sample= field, a repeated key).
 	seeds := []JobSpec{
 		{App: "apsi"},
 		{Mode: ModeBaseline, App: "swim", Interleave: "page", Cap: 100},
 		{Mode: ModeAnalyze, App: "fma3d", Seed: 77},
 		{App: "gafort", L2: "shared", Mapping: "m2", Placement: "diamond", MeshX: 4, MeshY: 4, NumMCs: 8},
-		{App: "apsi", Sample: "on"},
-		{App: "apsi", Sample: "w4f0.1u1r1", Threads: 16, BanksPerMC: 2, MLPWindow: 4},
+		{App: "apsi", Interleave: "page", Migrate: "on"},
+		{Mode: ModeBaseline, Mix: "mix2(apsi@16+gafort@0)", Interleave: "page", Threads: 16, BanksPerMC: 2, MLPWindow: 4},
 		{App: "mgrid", Policy: "osassisted", Cap: -1},
 	}
 	for _, s := range seeds {
@@ -28,6 +28,7 @@ func FuzzParseJobID(f *testing.F) {
 	f.Add("j1:")
 	f.Add("j1:mode=compare")
 	f.Add("j1:app=apsi,mesh=8x8,sample=off")
+	f.Add("j1:app=apsi,seed=0,seed=7")
 	f.Add("j0:app=apsi")
 	f.Add("j1:app=apsi,mesh=8x,cap=9999999999999999999999")
 	f.Add("j1:app=a=b,pol=,seed=18446744073709551615")

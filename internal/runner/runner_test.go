@@ -31,16 +31,23 @@ func TestJobIDRoundTrip(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"v9:mode=compare",
-		"j1:mode=compare",          // no app
-		"j1:app=apsi,bogus=1",      // unknown field
-		"j1:app=apsi,mesh=8",       // malformed mesh
-		"j1:app=apsi,threads=many", // non-numeric
-		"j1:app=apsi,seed=-1",      // negative seed
-		"j1:app=apsi,mode",         // not k=v
+		"j1:mode=compare",           // no app
+		"j1:app=apsi,bogus=1",       // unknown field
+		"j1:app=apsi,mesh=8",        // malformed mesh
+		"j1:app=apsi,threads=many",  // non-numeric
+		"j1:app=apsi,seed=-1",       // negative seed
+		"j1:app=apsi,mode",          // not k=v
+		"j1:app=apsi,sample=on",     // sampled simulation was removed
+		"j1:app=apsi,seed=0,seed=7", // duplicate key
 	} {
 		if _, err := ParseJobID(bad); err == nil {
 			t.Errorf("ParseJobID(%q) accepted malformed ID", bad)
 		}
+	}
+	// A recorded sampled job cannot be replayed; the error says why.
+	if _, err := Replay("j1:app=apsi,sample=w4f0.1u1r1"); err == nil ||
+		!strings.Contains(err.Error(), "sampled simulation was removed") {
+		t.Errorf("Replay of a sample= ID: err = %v, want the removal error", err)
 	}
 }
 

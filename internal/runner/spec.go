@@ -65,7 +65,7 @@ type JobSpec struct {
 	// (workloads.MixSpec compact form, e.g. "mix2(apsi@16+gafort@0)"): the
 	// job simulates the composed workload instead of a single application.
 	// The form contains no comma or equals sign, so it embeds verbatim as
-	// the ID's mix= field — appended only when set, like sample=/mig=, so
+	// the ID's mix= field — appended only when set, like mig=, so
 	// single-app IDs keep their historical bytes. Mix jobs run ModeBaseline
 	// or ModeOptimized (the per-app compiler analysis of compare/analyze has
 	// no composed counterpart), and exactly one of App and Mix must be set.
@@ -74,19 +74,11 @@ type JobSpec struct {
 	// Migrate enables online hot-page migration: "" (or "off") runs the
 	// static policies unchanged, "on" the default mem.MigrationSpec, and a
 	// compact spec ("h16w1024c2f0t64") a custom one. Migration changes
-	// results, so like Sample it IS part of the job identity — the ID gains
+	// results, so unlike Prof it IS part of the job identity — the ID gains
 	// a mig= field exactly when Migrate is set, and IDs without one keep
 	// their historical form. Requires page interleaving; applied to the
 	// baseline and optimized runs, never the optimal scheme.
 	Migrate string
-
-	// Sample enables sampled simulation: "" (or "off") runs exact full
-	// simulations, "on" the default sim.SampleSpec, and a compact spec
-	// ("w4f0.1u1r1") a custom one. Sampling changes results (estimates
-	// instead of exact metrics), so unlike Prof it IS part of the job
-	// identity — the ID gains a sample= field exactly when Sample is set,
-	// and IDs without one keep their historical form.
-	Sample string
 
 	// Prof attaches the latency-attribution profiler to the job's runs and
 	// fills JobOutcome.Profiles. Pure observation: it is deliberately
@@ -130,20 +122,10 @@ func (s JobSpec) Normalized() JobSpec {
 	if s.Policy == "" {
 		s.Policy = "interleaved"
 	}
-	if s.Sample != "" {
-		// Canonicalize ("on" → the default spec's compact form, "off" → "")
-		// so equal sampling configurations always render equal IDs. An
-		// unparseable spec is left verbatim; Build reports the error.
-		if sp, err := sim.ParseSampleSpec(s.Sample); err == nil {
-			if sp == nil {
-				s.Sample = ""
-			} else {
-				s.Sample = sp.String()
-			}
-		}
-	}
 	if s.Migrate != "" {
-		// Same canonicalization as Sample, against the migration spec form.
+		// Canonicalize ("on" → the default spec's compact form, "off" → "")
+		// so equal migration configurations always render equal IDs. An
+		// unparseable spec is left verbatim; Build reports the error.
 		if sp, err := mem.ParseMigrationSpec(s.Migrate); err == nil {
 			if sp == nil {
 				s.Migrate = ""
@@ -173,12 +155,9 @@ func (s JobSpec) ID() string {
 		n.Mode, n.App, n.L2, n.Interleave, n.Mapping, n.Placement,
 		n.MeshX, n.MeshY, n.NumMCs, n.Threads, n.BanksPerMC, n.MLPWindow,
 		n.Policy, n.Cap, n.Seed)
-	if n.Sample != "" {
-		// Appended only when set, so every pre-sampling job ID (and every
-		// recorded replay handle) is unchanged.
-		id += ",sample=" + n.Sample
-	}
 	if n.Migrate != "" {
+		// Appended only when set, so every pre-migration job ID (and every
+		// recorded replay handle) is unchanged.
 		id += ",mig=" + n.Migrate
 	}
 	if n.Mix != "" {
@@ -195,18 +174,23 @@ func (s JobSpec) ShortID() string {
 }
 
 // ParseJobID inverts ID. It accepts exactly the canonical form (version
-// prefix "j1:", comma-separated k=v fields).
+// prefix "j1:", comma-separated k=v fields, each key at most once).
 func ParseJobID(id string) (JobSpec, error) {
 	var s JobSpec
 	body, ok := strings.CutPrefix(id, "j1:")
 	if !ok {
 		return s, fmt.Errorf("runner: job ID %q lacks the j1: prefix", id)
 	}
+	seen := map[string]bool{}
 	for _, field := range strings.Split(body, ",") {
 		k, v, ok := strings.Cut(field, "=")
 		if !ok {
 			return s, fmt.Errorf("runner: job ID field %q is not k=v", field)
 		}
+		if seen[k] {
+			return s, fmt.Errorf("runner: job ID repeats field %q", k)
+		}
+		seen[k] = true
 		var err error
 		switch k {
 		case "mode":
@@ -244,9 +228,7 @@ func ParseJobID(id string) (JobSpec, error) {
 		case "seed":
 			s.Seed, err = strconv.ParseUint(v, 10, 64)
 		case "sample":
-			if _, err = sim.ParseSampleSpec(v); err == nil {
-				s.Sample = v
-			}
+			return s, fmt.Errorf("runner: job ID field sample=%s: sampled simulation was removed; re-run the job without the sample= field", v)
 		case "mig":
 			if _, err = mem.ParseMigrationSpec(v); err == nil {
 				s.Migrate = v
@@ -362,13 +344,6 @@ func (s JobSpec) Build() (layout.Machine, *layout.ClusterMapping, core.Options, 
 		Seed:                 n.simSeed(),
 		TraceCache:           s.Cache,
 	}
-	if n.Sample != "" {
-		sp, err := sim.ParseSampleSpec(n.Sample)
-		if err != nil {
-			return m, nil, opt, fmt.Errorf("runner: %w", err)
-		}
-		opt.Sample = sp
-	}
 	if n.Migrate != "" {
 		sp, err := mem.ParseMigrationSpec(n.Migrate)
 		if err != nil {
@@ -408,10 +383,6 @@ type JobOutcome struct {
 	Observers  map[string]*obs.Observer // run name → observer
 	ExecTimes  map[string]int64         // run name → ExecTime (merge horizon)
 	Profiles   map[string]*prof.Profile // run name → attribution (Spec.Prof only)
-
-	// Sampled carries each run's sampled-simulation outcome (estimates with
-	// confidence bounds) when Spec.Sample was set.
-	Sampled map[string]*sim.SampledResult
 
 	Err    error
 	Worker int   // which worker executed the job (not deterministic)
@@ -526,7 +497,6 @@ func (s JobSpec) execute() (out *JobOutcome) {
 			"optimal":   c.Optimal.ExecTime,
 		}
 		out.Profiles = c.Profiles
-		out.Sampled = c.Sampled
 	case ModeBaseline, ModeOptimized:
 		var baseW, optW *sim.Workload
 		var err error
@@ -558,24 +528,6 @@ func (s JobSpec) execute() (out *JobOutcome) {
 		if n.Prof {
 			pf = prof.New()
 			cfg.Prof = pf
-		}
-		if opt.Sample != nil {
-			// Sampled single-run mode: Run carries the aggregate of the
-			// measured windows (a deterministic projection), Sampled the
-			// estimates and bounds.
-			sr, err := sim.RunSampled(cfg, w, *opt.Sample)
-			if err != nil {
-				out.Err = err
-				return out
-			}
-			out.Run = sr.Aggregate
-			out.Sampled = map[string]*sim.SampledResult{run: sr}
-			out.Observers[run] = o
-			out.ExecTimes[run] = int64(sr.Est.ExecTime.Mean + 0.5)
-			if pf != nil {
-				out.Profiles = map[string]*prof.Profile{run: pf.Profile()}
-			}
-			return out
 		}
 		r, err := sim.Run(cfg, w)
 		if err != nil {

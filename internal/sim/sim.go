@@ -100,9 +100,6 @@ type Config struct {
 	// OptimalOffchip turns on the Section 2 optimal scheme.
 	OptimalOffchip bool
 
-	// DebugMC0, when set, observes every local address submitted to MC0.
-	DebugMC0 func(addr int64)
-
 	// Obs supplies the observability layer (metrics registry + tracer) every
 	// substrate publishes through. Nil gets the run a private registry, so
 	// the Figure 13/15/18 statistics are always registry-backed.
@@ -226,49 +223,6 @@ type Workload struct {
 	// phases as consecutive epochs — which is what moves the hot set
 	// mid-run. Single-stream cores behave identically either way.
 	Sequential bool
-	// Warm optionally primes the machine before timing begins — used by
-	// sampled simulation so a window cut from the middle of a trace starts
-	// from (approximately) the machine state the full run would have there.
-	Warm *WarmState
-}
-
-// WarmState is the pre-run warming input of a window run. PageUniverse is
-// preTouched in place of the run's own workload, so the window reproduces
-// the full run's page placement exactly (first-touch allocation is
-// timing-independent: the full run performs it all up front, in phase
-// order). CacheStreams are replayed functionally — address translation,
-// cache fills, directory updates; no events, no time, no statistics — to
-// approximate the cache and directory contents at the window's start.
-type WarmState struct {
-	PageUniverse *Workload
-	CacheStreams []Stream
-
-	// Pages optionally memoizes the preTouch result. Runs whose WarmState
-	// carries the same *PageMemo share one first-touch walk: the first run
-	// performs it and captures a translation snapshot per application; later
-	// runs restore the snapshot instead of re-walking PageUniverse. Valid
-	// whenever the runs share (PageUniverse, machine config) — the snapshot
-	// is exact state, so restored runs are bit-identical to replayed ones.
-	Pages *PageMemo
-
-	// memo is the per-WarmState cache/directory snapshot: the three runs of
-	// one sampling window (span, warm-only, half-warm control) share a
-	// WarmState and therefore an identical CacheStreams replay, so the first
-	// run replays and captures, and the rest restore.
-	memo *warmSnapshot
-}
-
-// PageMemo shares one preTouch walk across runs; see WarmState.Pages.
-// The zero value is ready to use. Not safe for concurrent runs.
-type PageMemo struct {
-	spaces map[int]*mem.TranslationSnapshot
-}
-
-// warmSnapshot is the machine state warmCaches produces, captured once per
-// WarmState and restored into subsequent runs.
-type warmSnapshot struct {
-	l1s, l2s []*cache.Snapshot
-	dir      map[int64]uint64
 }
 
 // TotalAccesses returns the workload's access count.
@@ -691,9 +645,6 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 		}
 		m.mcs = append(m.mcs, mc)
 	}
-	if cfg.DebugMC0 != nil {
-		m.mcs[0].OnSubmit = cfg.DebugMC0
-	}
 	if cfg.Migrate != nil {
 		m.mig = newMigState(m, *cfg.Migrate)
 	}
@@ -719,15 +670,8 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 		}
 	}
 
-	// Address spaces come from the page universe when one is attached: its
-	// stream order fixes each application's base address, and it is a
-	// superset of the run's own applications.
-	spaceStreams := w.Streams
-	if w.Warm != nil && w.Warm.PageUniverse != nil {
-		spaceStreams = w.Warm.PageUniverse.Streams
-	}
 	appBase := int64(0)
-	for _, s := range spaceStreams {
+	for _, s := range w.Streams {
 		if _, ok := m.spaces[s.AppID]; !ok {
 			m.spaces[s.AppID] = mem.NewAddressSpace(memCfg, appBase, m.policy())
 			appBase += 1 << 34
@@ -745,48 +689,7 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 	}
 
 	if cfg.Machine.Interleave == layout.PageInterleave {
-		pu := w
-		if w.Warm != nil && w.Warm.PageUniverse != nil {
-			pu = w.Warm.PageUniverse
-		}
-		pm := (*PageMemo)(nil)
-		if w.Warm != nil {
-			pm = w.Warm.Pages
-		}
-		if pm != nil && pm.spaces != nil {
-			for app, space := range m.spaces {
-				snap := pm.spaces[app]
-				if snap == nil {
-					panic(fmt.Sprintf("sim: PageMemo has no snapshot for app %d — shared across runs with different page universes", app))
-				}
-				space.Restore(snap)
-			}
-		} else {
-			m.preTouch(pu)
-			if pm != nil {
-				pm.spaces = make(map[int]*mem.TranslationSnapshot, len(m.spaces))
-				for app, space := range m.spaces {
-					pm.spaces[app] = space.Snapshot()
-				}
-			}
-		}
-	}
-	if w.Warm != nil && len(w.Warm.CacheStreams) > 0 {
-		if s := w.Warm.memo; s != nil {
-			for i := range m.l1s {
-				m.l1s[i].Restore(s.l1s[i])
-				m.l2s[i].Restore(s.l2s[i])
-			}
-			m.dir.Restore(s.dir)
-		} else {
-			m.warmCaches(w.Warm.CacheStreams)
-			s := &warmSnapshot{dir: m.dir.Snapshot()}
-			for i := range m.l1s {
-				s.l1s = append(s.l1s, m.l1s[i].Snapshot())
-				s.l2s = append(s.l2s, m.l2s[i].Snapshot())
-			}
-			w.Warm.memo = s
-		}
+		m.preTouch(w)
 	}
 	for core := range m.cores {
 		e := m.allocEvent()
@@ -876,48 +779,6 @@ func (m *machine) preTouch(w *Workload) {
 				m.spaces[st.AppID].Translate(acc.VAddr, st.Core, int(acc.DesiredMC))
 			}
 		}
-	}
-}
-
-// warmCaches replays the warm slices through the caches and the directory
-// with the exact state mutations of the timed access path — translation,
-// L1 fill, L2 fill, directory add/remove — but no events and no simulated
-// time. Streams interleave round-robin, one access per stream per sweep,
-// approximating the issue order of the timed run. The hit/miss counters the
-// replay perturbs are reset afterwards so results count timed accesses only.
-func (m *machine) warmCaches(streams []Stream) {
-	idx := make([]int, len(streams))
-	for alive := true; alive; {
-		alive = false
-		for i := range streams {
-			st := &streams[i]
-			if idx[i] >= len(st.Accesses) {
-				continue
-			}
-			alive = true
-			acc := st.Accesses[idx[i]]
-			idx[i]++
-			paddr := m.spaces[st.AppID].Translate(acc.VAddr, st.Core, int(acc.DesiredMC))
-			if hit, _ := m.l1s[st.Core].Access(paddr); hit {
-				continue
-			}
-			if m.cfg.Machine.L2 == layout.SharedL2 {
-				home := mem.HomeBank(paddr, m.cfg.Machine.LineUnit(), m.cfg.Machine.Cores())
-				m.l2s[home].Access(paddr)
-				continue
-			}
-			line := m.l2s[st.Core].LineAddr(paddr)
-			if hit, evicted := m.l2s[st.Core].Access(paddr); !hit {
-				if evicted >= 0 {
-					m.dir.Remove(evicted, st.Core)
-				}
-				m.dir.Add(line, st.Core)
-			}
-		}
-	}
-	for core := range m.l1s {
-		m.l1s[core].ResetStats()
-		m.l2s[core].ResetStats()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"offchip/internal/layout"
+	"offchip/internal/mem"
 	"offchip/internal/noc"
 )
 
@@ -389,38 +390,25 @@ func TestSharedL2OptimalScheme(t *testing.T) {
 	}
 }
 
-func TestDebugMC0Hook(t *testing.T) {
-	cfg := testConfig(t)
-	var seen []int64
-	cfg.DebugMC0 = func(a int64) { seen = append(seen, a) }
-	if _, err := Run(cfg, oneAccess(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 {
-		t.Errorf("hook observed %d submissions, want 1", len(seen))
-	}
-}
-
 func TestLocalAddressCompaction(t *testing.T) {
 	// Two consecutive units of MC0's stripe must be contiguous in the
-	// controller's local address space (so they share a DRAM row).
-	cfg := testConfig(t)
-	var seen []int64
-	cfg.DebugMC0 = func(a int64) { seen = append(seen, a) }
-	unit := cfg.Machine.LineUnit()
-	stripe := unit * int64(cfg.Machine.NumMCs)
-	w := &Workload{Streams: []Stream{{Core: 0, Accesses: []Access{
-		{VAddr: 0, DesiredMC: -1},
-		{VAddr: stripe, DesiredMC: -1}, // next MC0 unit
-	}}}}
-	cfg.MLPWindow = 1
-	if _, err := Run(cfg, w); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 2 {
-		t.Fatalf("submissions = %v", seen)
-	}
-	if seen[1]-seen[0] != unit {
-		t.Errorf("local addresses %v not compacted (want gap %d)", seen, unit)
+	// controller's local address space (so they share a DRAM row), under
+	// both interleavings.
+	for _, il := range []layout.Granularity{layout.LineInterleave, layout.PageInterleave} {
+		m := testConfig(t).Machine
+		m.Interleave = il
+		cfg := mem.Config{PageBytes: m.PageBytes, LineBytes: m.LineUnit(), NumMCs: m.NumMCs, Interleave: il}
+		unit := cfg.LineBytes
+		if il == layout.PageInterleave {
+			unit = cfg.PageBytes
+		}
+		stripe := unit * int64(cfg.NumMCs) // the next MC0 unit
+		if mem.MCOf(0, cfg) != 0 || mem.MCOf(stripe, cfg) != 0 {
+			t.Fatalf("interleave %v: paddrs 0 and %d are not both MC0's", il, stripe)
+		}
+		a, b := mem.LocalAddr(0, cfg), mem.LocalAddr(stripe, cfg)
+		if b-a != unit {
+			t.Errorf("interleave %v: local addresses %d, %d not compacted (want gap %d)", il, a, b, unit)
+		}
 	}
 }

@@ -2,10 +2,13 @@ package sweepq
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -202,6 +205,31 @@ func TestServerDeterministicJobErrorFailsFast(t *testing.T) {
 	}
 	if st := s.Stats(); st.Retries != 0 {
 		t.Fatalf("deterministic failure consumed %d retries", st.Retries)
+	}
+}
+
+// TestSubmitRejectsUnknownFields: a /submit body naming a field the server
+// does not know (here the retired "sample" option) is refused outright
+// rather than silently run without it; a body of known fields is accepted.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	s, err := NewServer(Config{StateDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	post := func(body string) int {
+		rec := httptest.NewRecorder()
+		s.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/submit", strings.NewReader(body)))
+		return rec.Code
+	}
+	if code := post(`{"request":{"apps":["apsi"],"cap":20,"sample":"on"}}`); code != http.StatusBadRequest {
+		t.Errorf("unknown request field: HTTP %d, want 400", code)
+	}
+	if code := post(`{"request":{"apps":["apsi"],"schemes":["line/private"],"cap":20},"priority":1}`); code != http.StatusOK {
+		t.Fatalf("known fields only: HTTP %d, want 200", code)
+	}
+	if failed := s.Wait(0); failed != 0 {
+		t.Fatalf("%d accepted jobs failed", failed)
 	}
 }
 

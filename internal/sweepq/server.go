@@ -507,7 +507,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<24)).Decode(&req); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<24))
+	// A field this server does not know (a retired option such as
+	// "sample", or a typo) would otherwise be dropped silently and the
+	// sweep run as if it had not been asked for.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
